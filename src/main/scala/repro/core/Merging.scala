@@ -1,8 +1,5 @@
 package repro.core
 
-import java.util.concurrent.Executors
-import scala.concurrent.{Await, ExecutionContext, Future}
-import scala.concurrent.duration.Duration
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import repro.ann.{AnnConfig, MutualTopK}
@@ -11,19 +8,14 @@ import repro.graph.ConnectedComponents
 
 /** Merging-phase configuration (paper §III-C).
   *
-  * @param k           mutual top-K width (paper uses k = 1)
-  * @param m           distance threshold in Eq. (1)
-  * @param ann         ANN backend configuration (LSH or exact)
-  * @param parallel    merge independent table pairs of a hierarchy level
-  *                    concurrently (MultiEM (parallel), §III-E)
-  * @param parallelism max concurrent pair merges when parallel
+  * @param k   mutual top-K width (paper uses k = 1)
+  * @param m   distance threshold in Eq. (1)
+  * @param ann ANN backend configuration (signature blocking or exact)
   */
 case class MergeConfig(
     k: Int = 1,
     m: Double = 0.4,
     ann: AnnConfig = AnnConfig(exact = true),
-    parallel: Boolean = false,
-    parallelism: Int = 4,
 )
 
 /** Table-wise hierarchical merging (Algorithms 2 and 3).
@@ -50,78 +42,70 @@ object Merging {
     withKeys.select(col("eid") as "id", array(col("eid")) as "members", col("vec"), col("keys"))
   }
 
-  /** Algorithm 3: merge two item tables.
+  /** Algorithm 3 for every table pair of one hierarchy level in a single
+    * dataflow. `items` carries a `table` column; table t is paired with
+    * table t xor 1, and the pair becomes table t / 2 of the next level (a
+    * last, unpaired table passes through as its own pair).
     *
     * Mutual top-K pairs (Eq. 1) become edges; connected components merge
     * matched items by transitivity (members unioned, centroid recomputed);
     * unmatched items pass through untouched into the merged table.
     */
-  def twoTableMerge(a: DataFrame, b: DataFrame, cfg: MergeConfig): DataFrame = {
-    val pairs = MutualTopK.mutualPairs(
-      a.select("id", "vec", "keys"), b.select("id", "vec", "keys"), cfg.k, cfg.m, cfg.ann)
-    val all = a.unionByName(b)
-    // Fully lazy: when no pairs match, matchedIds/matchedItems are empty and
-    // the anti-join passes every item through — no driver-side action needed.
+  private def mergeLevel(items: DataFrame, cfg: MergeConfig): DataFrame = {
+    val tagged = items.withColumn("group", shiftright(col("table"), 1))
+    def side(s: Int, id: String): DataFrame =
+      tagged.filter(col("table") % 2 === s)
+        .select(col("group"), col("group") as "block", col("id") as id, col("vec"), col("keys"))
+    val pairs = MutualTopK.grouped(side(0, "lid"), side(1, "rid"), cfg.k, cfg.m, cfg.ann)
     val edges = pairs.select(col("lid") as "src", col("rid") as "dst")
-    val matchedIds = edges.select(col("src") as "id")
-      .unionByName(edges.select(col("dst") as "id"))
-      .distinct()
     // k = 1 fast path: mutual top-1 pairs form a one-to-one matching (each
     // item is ranked first by at most one partner per direction), so every
     // component is a single edge — label it min(src, dst) directly instead
     // of running the iterative CC loop.
+    val ends = explode(array(col("src"), col("dst"))) as "id"
     val comp =
-      if (cfg.k == 1)
-        edges.select(col("src") as "id", least(col("src"), col("dst")) as "component")
-          .unionByName(edges.select(col("dst") as "id", least(col("src"), col("dst")) as "component"))
-          .distinct()
-      else ConnectedComponents.run(matchedIds.localCheckpoint(), edges.localCheckpoint())
-    val matchedItems = all
-      .join(comp, Seq("id"))
-      .groupBy("component")
-      .agg(
-        sort_array(flatten(collect_list("members"))) as "members",
-        VecOps.meanNormalizedCol(collect_list("vec")) as "vec",
-        slice(array_distinct(flatten(collect_list("keys"))), 1, MaxKeys) as "keys",
-      )
+      if (cfg.k == 1) edges.select(ends, least(col("src"), col("dst")) as "component")
+      else ConnectedComponents.run(edges.select(ends).distinct().localCheckpoint(), edges.localCheckpoint())
+    val labelled = tagged.join(comp, Seq("id"), "left")
+    // Members are gathered in item-id order, so neither the centroid's
+    // floating-point sum nor the keys kept under the cap depend on the row
+    // order a shuffle delivers.
+    val merged = labelled.filter(col("component").isNotNull)
+      .groupBy("group", "component")
+      .agg(sort_array(collect_list(struct(col("id"), col("members"), col("vec"), col("keys")))) as "m")
       // component label is the min item id = min member eid, preserving the
       // id invariant for subsequent levels.
-      .select(col("component") as "id", col("members"), col("vec"), col("keys"))
-    val unmatched = all.join(matchedIds, Seq("id"), "left_anti")
-    unmatched.unionByName(matchedItems)
+      .select(
+        col("group") as "table",
+        col("component") as "id",
+        sort_array(flatten(col("m.members"))) as "members",
+        VecOps.meanNormalizedCol(col("m.vec")) as "vec",
+        slice(array_distinct(flatten(col("m.keys"))), 1, MaxKeys) as "keys",
+      )
+    val unmatched = labelled.filter(col("component").isNull)
+      .select(col("group") as "table", col("id"), col("members"), col("vec"), col("keys"))
+    unmatched.unionByName(merged)
   }
 
-  /** Algorithm 2: binary-tree merge schedule over all tables; each level's
-    * pair merges are independent and — in parallel mode — run concurrently
-    * on the shared SparkSession (FAIR-ish via separate driver threads).
+  /** Algorithm 3: merge two item tables — the one-pair case of a level. */
+  def twoTableMerge(a: DataFrame, b: DataFrame, cfg: MergeConfig): DataFrame =
+    mergeLevel(a.withColumn("table", lit(0)).unionByName(b.withColumn("table", lit(1))), cfg)
+      .select("id", "members", "vec", "keys")
+
+  /** Algorithm 2: binary-tree merge schedule over all tables. A level's pair
+    * merges are independent, so each level runs as one dataflow over all of
+    * its pairs (MultiEM (parallel), §III-E) and is checkpointed once.
     */
   def hierarchical(tables: Seq[DataFrame], cfg: MergeConfig): DataFrame = {
     require(tables.nonEmpty, "no tables to merge")
-    var cur = tables.toVector
-    while (cur.size > 1) {
-      val pairs: Seq[Either[(DataFrame, DataFrame), DataFrame]] =
-        cur.grouped(2).map {
-          case Seq(x, y) => Left((x, y))
-          case Seq(x)    => Right(x)
-        }.toSeq
-      cur =
-        if (!cfg.parallel) {
-          pairs.map {
-            case Left((x, y)) => twoTableMerge(x, y, cfg).localCheckpoint()
-            case Right(x)     => x
-          }.toVector
-        } else {
-          val pool = Executors.newFixedThreadPool(math.max(1, cfg.parallelism))
-          implicit val ec: ExecutionContext = ExecutionContext.fromExecutorService(pool)
-          try {
-            val futs = pairs.map {
-              case Left((x, y)) => Future { twoTableMerge(x, y, cfg).localCheckpoint() }
-              case Right(x)     => Future.successful(x)
-            }
-            Await.result(Future.sequence(futs), Duration.Inf).toVector
-          } finally pool.shutdown()
-        }
+    var items = tables.zipWithIndex
+      .map { case (t, i) => t.select(lit(i) as "table", col("id"), col("members"), col("vec"), col("keys")) }
+      .reduce(_ unionByName _)
+    var n = tables.size
+    while (n > 1) {
+      items = mergeLevel(items, cfg).localCheckpoint()
+      n = (n + 1) / 2
     }
-    cur.head
+    items.select("id", "members", "vec", "keys")
   }
 }

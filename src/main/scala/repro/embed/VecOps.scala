@@ -32,7 +32,10 @@ object VecOps {
     if (n <= 1e-12) v else v.map(_ / n)
   }
 
-  /** L2-renormalised element-wise mean — the centroid of a merged item. */
+  /** L2-renormalised element-wise mean — the centroid of a merged item.
+    * Vectors are summed in the order given; callers pass them in a fixed
+    * order (Merging: item-id order) so the result is reproducible bit for bit.
+    */
   def meanNormalized(vs: Seq[Seq[Double]]): Array[Double] = {
     require(vs.nonEmpty, "meanNormalized of empty sequence")
     val dim = vs.head.length

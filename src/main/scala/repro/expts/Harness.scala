@@ -96,14 +96,13 @@ object Harness {
   // ------------------------------------------------------------- MultiEM --
 
   def multiEmConfig(entities: Long, t: Tuned, useEer: Boolean = true,
-                    usePruning: Boolean = true, parallel: Boolean = false,
-                    sampleRatio: Double = 0.2): MultiEmConfig =
+                    usePruning: Boolean = true, sampleRatio: Double = 0.2): MultiEmConfig =
     MultiEmConfig(
       embed = EmbedConfig(),
       useEer = useEer,
       gamma = t.gamma,
       sampleRatio = sampleRatio,
-      merge = MergeConfig(k = 1, m = t.m, ann = annFor(entities), parallel = parallel),
+      merge = MergeConfig(k = 1, m = t.m, ann = annFor(entities)),
       usePruning = usePruning,
       prune = PruneConfig(eps = t.eps, minPts = 2),
     )
@@ -148,7 +147,9 @@ object Harness {
   }
 
   /** All Table IV/V/VI MultiEM rows for one dataset: full, w/o EER, w/o DP,
-    * and the parallel variant (timed separately).
+    * and the parallel variant. The merge always runs level-parallel (one
+    * dataflow per hierarchy level, §III-E), so the full run is the parallel
+    * row too.
     */
   def runMultiEmAll(bd: BenchDataset, t: Tuned, sampleRatio: Double = 0.2): Seq[RunOutcome] = {
     val ds = bd.ds
@@ -165,20 +166,15 @@ object Harness {
     val noEer = MultiEm.run(tables, ds.attrs, multiEmConfig(entities, t, useEer = false, sampleRatio = sampleRatio))
     val (tNoEer, pNoEer) = evalBoth(noEer.tuples, gt)
 
-    val (par, psecs, pmem) = measure {
-      MultiEm.run(tables, ds.attrs, multiEmConfig(entities, t, parallel = true, sampleRatio = sampleRatio))
-    }
-    val (tp, pp) = evalBoth(par.tuples, gt)
-
     Seq(
       RunOutcome("MultiEM", ds.name, Some(tf), Some(pf), Some(secs), Some(mem)),
       RunOutcome("MultiEM w/o EER", ds.name, Some(tNoEer), Some(pNoEer), None, None),
       RunOutcome("MultiEM w/o DP", ds.name, Some(tNoDp), Some(pNoDp), None, None),
-      RunOutcome("MultiEM (parallel)", ds.name, Some(tp), Some(pp), Some(psecs), Some(pmem)),
+      RunOutcome("MultiEM (parallel)", ds.name, Some(tf), Some(pf), Some(secs), Some(mem)),
     )
   }
 
-  /** Phase-time breakdown of a full sequential run (feeds Fig. 5-style data
+  /** Phase-time breakdown of a full run (feeds Fig. 5-style data
     * and the EXPERIMENTS.md notes).
     */
   def phaseBreakdown(bd: BenchDataset, t: Tuned): Map[String, Double] =

@@ -131,4 +131,81 @@ class MutualTopKSpec extends SparkSpec {
     val out = pairsOf(MutualTopK.mutualPairs(left, right, 1, 0.1))
     assert(out == pts.map { case (i, _) => (i, 100L + i) }.toSet)
   }
+
+  // ---- kernel properties against a plain-Scala brute force ----
+
+  /** A random small side: ids from `base`, vectors drawn from a few shared
+    * directions (duplicates make distance ties), zero vectors included, and
+    * keys from a small alphabet.
+    */
+  private def randomSide(rnd: scala.util.Random, n: Int, base: Long, dirs: IndexedSeq[Array[Double]]) =
+    (0 until n).map { i =>
+      val vec =
+        if (rnd.nextInt(8) == 0) new Array[Double](4)
+        else if (rnd.nextBoolean()) dirs(rnd.nextInt(dirs.size))
+        else VecOps.normalize(Array.fill(4)(rnd.nextGaussian()))
+      (base + i, vec, Seq.fill(1 + rnd.nextInt(2))(rnd.nextInt(4).toLong).distinct)
+    }
+
+  /** Eq. (1) by brute force: rank candidates by (dist, partner id) per side. */
+  private def bruteForce(l: Seq[(Long, Array[Double], Seq[Long])], r: Seq[(Long, Array[Double], Seq[Long])],
+                         k: Int, m: Double, exact: Boolean): Set[(Long, Long, Double)] = {
+    val scored = for {
+      (a, va, ka) <- l; (b, vb, kb) <- r
+      if exact || ka.exists(kb.contains)
+      d = VecOps.cosineDist(va.toSeq, vb.toSeq) if d <= m
+    } yield (a, b, d)
+    val byLeft = scored.groupBy(_._1).values.flatMap(_.sortBy(t => (t._3, t._2)).take(k)).toSet
+    val byRight = scored.groupBy(_._2).values.flatMap(_.sortBy(t => (t._3, t._1)).take(k)).toSet
+    byLeft intersect byRight
+  }
+
+  test("kernel equals a brute-force mutual top-K on random groups (ties, zero vectors, empty sides)") {
+    import spark.implicits._
+    val rnd = new scala.util.Random(17)
+    val dirs = IndexedSeq.fill(3)(VecOps.normalize(Array.fill(4)(rnd.nextGaussian())))
+    // group 0 has no left rows, group 1 no right rows
+    val groups = (0 until 12).map(g => (g.toLong,
+      randomSide(rnd, if (g == 0) 0 else 1 + rnd.nextInt(6), g * 100L, dirs),
+      randomSide(rnd, if (g == 1) 0 else 1 + rnd.nextInt(6), g * 100L + 50, dirs)))
+    val left = groups.flatMap { case (g, l, _) => l.map { case (id, v, ks) => (g, g, id, v.toSeq, ks) } }
+      .toDF("group", "block", "lid", "vec", "keys")
+    val right = groups.flatMap { case (g, _, r) => r.map { case (id, v, ks) => (g, id, v.toSeq, ks) } }
+      .toDF("block", "rid", "vec", "keys")
+    for (exact <- Seq(true, false); k <- Seq(1, 2, 3); m <- Seq(0.2, 1.0, 2.0)) {
+      val ours = MutualTopK.grouped(left, right, k, m, AnnConfig(exact = exact))
+        .select("lid", "rid", "dist").as[(Long, Long, Double)].collect().toSet
+      val expect = groups.flatMap { case (_, l, r) => bruteForce(l, r, k, m, exact) }.toSet
+      assert(m < 2.0 || expect.nonEmpty)
+      assert(ours == expect, s"exact=$exact k=$k m=$m")
+    }
+  }
+
+  test("a grouped call equals the union of its per-group calls") {
+    import spark.implicits._
+    val rnd = new scala.util.Random(23)
+    val groups = (0 until 3).map { g =>
+      def side(base: Long) = (0 until 5).map(i => (base + i, planar(rnd.nextDouble() * 2)))
+      (g.toLong, side(g * 100L), side(g * 100L + 50))
+    }
+    val left = groups.flatMap { case (g, l, _) => l.map { case (id, v) => (g, g, id, v.toSeq) } }
+      .toDF("group", "block", "lid", "vec")
+    val right = groups.flatMap { case (g, _, r) => r.map { case (id, v) => (g, id, v.toSeq) } }
+      .toDF("block", "rid", "vec")
+    val all = pairsOf(MutualTopK.grouped(left, right, 2, 0.5, AnnConfig()))
+    val perGroup = groups.flatMap { case (_, l, r) =>
+      pairsOf(MutualTopK.mutualPairs(vecDf(spark, l), vecDf(spark, r), 2, 0.5))
+    }.toSet
+    assert(all.nonEmpty)
+    assert(all == perGroup)
+  }
+
+  test("kernel rejects vectors of different lengths instead of truncating") {
+    val left = vecDf(spark, Seq(1L -> Array(1.0, 0.0, 0.0)))
+    val right = vecDf(spark, Seq(10L -> planar(0.0)))
+    val e = intercept[Exception](MutualTopK.mutualPairs(left, right, 1, 1.0).collect())
+    assert(Iterator.iterate[Throwable](e)(_.getCause).takeWhile(_ != null).exists(_.getMessage.contains("vector length")))
+    val mixed = vecDf(spark, Seq(10L -> planar(0.0), 20L -> Array(1.0, 0.0)))
+    intercept[IllegalArgumentException](MutualTopK.mutualPairs(right, mixed, 1, 1.0))
+  }
 }

@@ -96,11 +96,32 @@ class MergingSpec extends SparkSpec {
     assert(memberSets(out) == Set(Set(1L, 2L, 3L)))
   }
 
-  test("parallel mode produces the same result as sequential") {
-    val tabs = (0 until 4).map(t => items((0 until 5).map(i => (t * 10 + i).toLong -> planar(i * 0.5 + t * 0.01))))
-    val seqOut = memberSets(Merging.hierarchical(tabs, cfg))
-    val parOut = memberSets(Merging.hierarchical(tabs, cfg.copy(parallel = true, parallelism = 4)))
-    assert(seqOut == parOut)
+  /** Algorithm 2's grouped(2) schedule with one `twoTableMerge` per pair. */
+  private def foldPairwise(tables: Seq[DataFrame], cfg: MergeConfig): DataFrame = {
+    var cur = tables.toVector
+    while (cur.size > 1)
+      cur = cur.grouped(2).map {
+        case Seq(x, y) => Merging.twoTableMerge(x, y, cfg).localCheckpoint()
+        case Seq(x)    => x
+      }.toVector
+    cur.head
+  }
+
+  /** Items by id: (members, centroid, keys), compared bit for bit. */
+  private def byId(df: DataFrame): Map[Long, (Seq[Long], Seq[Double], Seq[Long])] =
+    df.collect().map(r => r.getLong(0) -> ((r.getSeq[Long](1), r.getSeq[Double](2), r.getSeq[Long](3)))).toMap
+
+  test("level-at-a-time hierarchical equals folding twoTableMerge pair by pair") {
+    val rnd = new scala.util.Random(3)
+    val centres = IndexedSeq.fill(6)(repro.embed.VecOps.normalize(Array.fill(8)(rnd.nextGaussian())))
+    def jitter(c: Array[Double]) = repro.embed.VecOps.normalize(c.map(_ + rnd.nextGaussian() * 0.08))
+    val all = (0 until 5).map(t => items(centres.indices.map(i => (t * 100L + i) -> jitter(centres(i)))))
+    for (n <- Seq(3, 4, 5); k <- Seq(1, 2)) {
+      val c = cfg.copy(k = k, m = 0.5)
+      val level = byId(Merging.hierarchical(all.take(n), c))
+      assert(level.values.exists(_._1.size > 2), s"n=$n k=$k: no cross-level merge")
+      assert(level == byId(foldPairwise(all.take(n), c)), s"n=$n k=$k")
+    }
   }
 
   test("members stay sorted after multi-level merges") {

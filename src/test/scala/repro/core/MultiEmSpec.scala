@@ -13,12 +13,12 @@ class MultiEmSpec extends SparkSpec {
   private lazy val gt = ds.gtTuples.localCheckpoint()
 
   private def cfg(m: Double = 0.45, eps: Double = 0.9, useEer: Boolean = true,
-                  usePruning: Boolean = true, parallel: Boolean = false) =
+                  usePruning: Boolean = true) =
     MultiEmConfig(
       useEer = useEer,
       gamma = 0.5,
       sampleRatio = 1.0,
-      merge = MergeConfig(k = 1, m = m, ann = AnnConfig(exact = true), parallel = parallel),
+      merge = MergeConfig(k = 1, m = m, ann = AnnConfig(exact = true)),
       usePruning = usePruning,
       prune = PruneConfig(eps, 2),
     )
@@ -77,9 +77,17 @@ class MultiEmSpec extends SparkSpec {
     assert(noEer.selectedAttrs == ds.attrs)
   }
 
-  test("parallel mode matches sequential predictions") {
-    val par = MultiEm.run(ds.tables, ds.attrs, cfg(parallel = true))
-    assert(TestUtil.tupleSet(par.tuples) == TestUtil.tupleSet(result.tuples))
+  test("exact mode gives identical tuples under 1, 7 and 64 shuffle partitions") {
+    val key = "spark.sql.shuffle.partitions"
+    val saved = spark.conf.get(key)
+    val expected = TestUtil.tupleSet(result.tuples)
+    try {
+      for (n <- Seq(1, 7, 64)) {
+        spark.conf.set(key, n.toLong)
+        val out = MultiEm.run(ds.tables, ds.attrs, cfg())
+        assert(TestUtil.tupleSet(out.tuples) == expected, s"$n partitions")
+      }
+    } finally spark.conf.set(key, saved)
   }
 
   test("pruning cannot increase the tuple count") {
